@@ -49,7 +49,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ringo-gen: unknown kind %q\n", *kind)
 		os.Exit(2)
 	}
-	if err := t.SaveTSVFile(*out, *kind == "posts"); err != nil {
+	// Headerless, like every file the shell's load verb reads.
+	if err := t.SaveTSVFile(*out, false); err != nil {
 		fmt.Fprintf(os.Stderr, "ringo-gen: %v\n", err)
 		os.Exit(1)
 	}

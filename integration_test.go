@@ -1,6 +1,7 @@
 package ringo_test
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -120,24 +121,26 @@ func TestAnalyticsAgreeAcrossRepresentations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csr := ringo.BuildCSR(g)
-	if int64(csr.NumEdges()) != g.NumEdges() || csr.NumNodes() != g.NumNodes() {
-		t.Fatal("CSR dims differ")
+	v := ringo.BuildView(g)
+	if v.NumEdges() != g.NumEdges() || v.NumNodes() != g.NumNodes() {
+		t.Fatal("view dims differ")
 	}
 	// Degree agreement per node.
 	g.ForNodes(func(id int64) {
-		i, ok := csr.Index(id)
+		i, ok := v.Index(id)
 		if !ok {
-			t.Fatalf("node %d missing from CSR", id)
+			t.Fatalf("node %d missing from view", id)
 		}
-		if csr.OutDeg(i) != g.OutDeg(id) || csr.InDeg(i) != g.InDeg(id) {
+		if v.OutDeg(i) != g.OutDeg(id) || v.InDeg(i) != g.InDeg(id) {
 			t.Fatalf("node %d degree mismatch", id)
 		}
 	})
 	// Edge agreement both ways.
 	g.ForEdges(func(src, dst int64) {
-		if !csr.HasEdge(src, dst) {
-			t.Fatalf("CSR missing %d->%d", src, dst)
+		i, _ := v.Index(src)
+		j, _ := v.Index(dst)
+		if !slices.Contains(v.Out(i), j) {
+			t.Fatalf("view missing %d->%d", src, dst)
 		}
 	})
 }

@@ -10,6 +10,10 @@ import (
 	"ringo/internal/graph"
 )
 
+// Mapped-vs-heap equivalence: a mapped RNGM graph is an ordinary
+// graph.View, so the View kernels run over it unchanged and must give
+// exactly the heap view's answers.
+
 // mapView round-trips v through an RNGM file and returns the mapped view,
 // so the equivalence tests exercise the real storage tier (binary-searched
 // Index, aliased arenas), not just a second heap view.
@@ -27,18 +31,9 @@ func mapView(t testing.TB, v *graph.View) *graph.View {
 	return mg.View()
 }
 
-// shrinkBlocks forces multi-block semi-external schedules on test-sized
-// graphs so the skip logic actually runs.
-func shrinkBlocks(t *testing.T, size int) {
-	t.Helper()
-	old := extBlockSize
-	extBlockSize = size
-	t.Cleanup(func() { extBlockSize = old })
-}
-
 // extTestGraphs yields the awkward shapes the equality contract names:
 // random graphs, isolated nodes, tombstoned (deleted) slots, and a
-// multi-component graph where BFS leaves most blocks inactive.
+// multi-component graph whose components sit far apart in id space.
 func extTestGraphs() map[string]*graph.Directed {
 	gs := map[string]*graph.Directed{
 		"gnm":  gen.GNM(500, 4000, 3),
@@ -64,35 +59,30 @@ func extTestGraphs() map[string]*graph.Directed {
 	return gs
 }
 
-func TestPageRankExtMatchesView(t *testing.T) {
-	shrinkBlocks(t, 37)
+func TestPageRankViewMappedMatchesHeap(t *testing.T) {
 	for name, g := range extTestGraphs() {
 		v := graph.BuildView(g)
-		mv := mapView(t, v)
 		want := PageRankView(v, DefaultDamping, 10)
-		got := PageRankExt(mv, DefaultDamping, 10)
+		got := PageRankView(mapView(t, v), DefaultDamping, 10)
 		if !maps.Equal(want, got) {
-			t.Errorf("%s: PageRankExt scores differ from PageRankView (want %d scores, got %d)", name, len(want), len(got))
+			t.Errorf("%s: mapped PageRankView scores differ from the heap view's (want %d scores, got %d)", name, len(want), len(got))
 		}
 	}
 }
 
-func TestWCCExtMatchesView(t *testing.T) {
-	shrinkBlocks(t, 41)
+func TestWCCViewMappedMatchesHeap(t *testing.T) {
 	for name, g := range extTestGraphs() {
 		v := graph.BuildView(g)
-		mv := mapView(t, v)
 		want := WCCView(v)
-		got := WCCExt(mv)
+		got := WCCView(mapView(t, v))
 		if want.Count != got.Count || want.MaxSize != got.MaxSize || !maps.Equal(want.Label, got.Label) {
-			t.Errorf("%s: WCCExt labeling differs from WCCView (count %d vs %d, max %d vs %d)",
+			t.Errorf("%s: mapped WCCView labeling differs from the heap view's (count %d vs %d, max %d vs %d)",
 				name, want.Count, got.Count, want.MaxSize, got.MaxSize)
 		}
 	}
 }
 
-func TestBFSExtMatchesView(t *testing.T) {
-	shrinkBlocks(t, 29)
+func TestBFSViewMappedMatchesHeap(t *testing.T) {
 	for name, g := range extTestGraphs() {
 		v := graph.BuildView(g)
 		if v.NumNodes() == 0 {
@@ -103,9 +93,9 @@ func TestBFSExtMatchesView(t *testing.T) {
 		for _, src := range srcs {
 			for _, dir := range []EdgeDir{Out, In, Both} {
 				want := BFSView(v, src, dir)
-				got := BFSExt(mv, src, dir)
+				got := BFSView(mv, src, dir)
 				if !maps.Equal(want, got) {
-					t.Errorf("%s: BFSExt(src=%d, dir=%d) differs from BFSView (%d vs %d reached)",
+					t.Errorf("%s: mapped BFSView(src=%d, dir=%d) differs from the heap view's (%d vs %d reached)",
 						name, src, dir, len(want), len(got))
 				}
 			}
@@ -113,42 +103,34 @@ func TestBFSExtMatchesView(t *testing.T) {
 	}
 }
 
-func TestBFSExtUnknownSource(t *testing.T) {
-	v := graph.BuildView(gen.GNM(50, 200, 1))
-	if got := BFSExt(v, 1<<40, Out); got != nil {
-		t.Fatalf("BFSExt from absent source = %v, want nil", got)
+func TestBFSViewMappedUnknownSource(t *testing.T) {
+	mv := mapView(t, graph.BuildView(gen.GNM(50, 200, 1)))
+	if got := BFSView(mv, 1<<40, Out); got != nil {
+		t.Fatalf("BFSView from absent source = %v, want nil", got)
 	}
 }
 
-func TestExtBlockStatsAdvance(t *testing.T) {
-	shrinkBlocks(t, 16)
-	// A two-component graph where one component is far from the other in
-	// the dense ordering: BFS from inside one component must skip the
-	// other's blocks.
-	g := gen.Ring(128)
-	far := gen.Ring(128)
-	far.ForEdges(func(src, dst int64) { g.AddEdge(src+100000, dst+100000) })
-	v := graph.BuildView(g)
-
-	s0, k0 := ExtBlockStats()
-	BFSExt(v, v.ID(0), Out)
-	s1, k1 := ExtBlockStats()
-	if s1 <= s0 {
-		t.Fatalf("scanned counter did not advance (%d -> %d)", s0, s1)
-	}
-	if k1 <= k0 {
-		t.Fatalf("skipped counter did not advance (%d -> %d): selective scheduling scanned every block", k0, k1)
+// TestTrianglesViewMappedMatchesHeap runs the orientation-blind path a
+// mapped directed image takes — ProjectUView — against the heap UView of
+// the undirected graph.
+func TestTrianglesViewMappedMatchesHeap(t *testing.T) {
+	for name, g := range extTestGraphs() {
+		want := TrianglesView(graph.BuildUView(graph.AsUndirected(g)))
+		got := TrianglesView(graph.ProjectUView(mapView(t, graph.BuildView(g))))
+		if want != got {
+			t.Errorf("%s: mapped triangle count %d, heap UView %d", name, got, want)
+		}
 	}
 }
 
-// BenchmarkPageRankExt runs semi-external PageRank over a mapped RNGM
-// image — the number to put against BenchmarkPageRank-style in-heap runs
-// and the CI smoke that keeps the mapped pipeline compiling end to end.
-func BenchmarkPageRankExt(b *testing.B) {
+// BenchmarkPageRankMapped runs PageRankView over a mapped RNGM image — the
+// number to put against in-heap PageRank runs and the CI smoke that keeps
+// the mapped pipeline compiling end to end.
+func BenchmarkPageRankMapped(b *testing.B) {
 	g := gen.GNM(1<<15, 1<<18, 42)
 	mv := mapView(b, graph.BuildView(g))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PageRankExt(mv, DefaultDamping, 5)
+		PageRankView(mv, DefaultDamping, 5)
 	}
 }

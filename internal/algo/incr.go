@@ -18,6 +18,11 @@ import (
 // PageRankIncr converge to when callers have no stricter requirement.
 const DefaultPageRankTol = 1e-9
 
+// maxTolSweeps caps PageRankViewTol's and PageRankIncr's sweeps. A sweep
+// contracts the error by the damping factor, so convergence takes about
+// log(tol)/log(d) sweeps; the cap only guards degenerate damping values.
+const maxTolSweeps = 100000
+
 // PageRankViewTol is PageRank iterated to a convergence tolerance instead
 // of a fixed iteration count — the cold oracle the incremental variant is
 // equivalent to. It power-iterates the dangling-discard formulation
@@ -31,44 +36,19 @@ func PageRankViewTol(v *graph.View, damping, tol float64) map[int64]float64 {
 	if n == 0 {
 		return map[int64]float64{}
 	}
-	outDeg := make([]int32, n)
-	for i := 0; i < n; i++ {
-		outDeg[i] = int32(v.OutDeg(int32(i)))
-	}
-	a := (1 - damping) / float64(n)
 	x := make([]float64, n)
 	parFill(x, 1.0/float64(n))
-	x = powerIterate(v, outDeg, x, a, damping, tol)
+	p := powerIter{v: v, outDeg: outDegrees(v), damping: damping, discard: true}
+	x, _ = p.run(x, maxTolSweeps, tolStop(damping, tol))
 	normalizeSum(x)
 	return scoresToMap(v.IDs(), x)
 }
 
-// powerIterate sweeps x ← a + d·Σ_in x/outdeg until the L1 change of a
-// sweep is at most (1-d)·tol, returning the converged vector. The sweep
-// contracts the error by d per round, so the iteration count is bounded by
-// log(tol)/log(d); the cap only guards degenerate damping values.
-func powerIterate(v *graph.View, outDeg []int32, x []float64, a, damping, tol float64) []float64 {
-	n := len(x)
-	next := make([]float64, n)
-	for it := 0; it < 100000; it++ {
-		diff := par.Reduce(n, 0.0, func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				var sum float64
-				for _, src := range v.In(int32(i)) {
-					sum += x[src] / float64(outDeg[src])
-				}
-				next[i] = a + damping*sum
-				s += math.Abs(next[i] - x[i])
-			}
-			return s
-		}, func(p, q float64) float64 { return p + q })
-		x, next = next, x
-		if diff <= (1-damping)*tol {
-			break
-		}
-	}
-	return x
+// tolStop is the stopping threshold PageRankViewTol and PageRankIncr hand
+// the power-iteration kernel: its "L1 change below" rule, at the next float
+// above (1-d)·tol, stops exactly when the change is at most (1-d)·tol.
+func tolStop(damping, tol float64) float64 {
+	return math.Nextafter((1-damping)*tol, math.Inf(1))
 }
 
 // PageRankIncr is dynamic PageRank seeded from the previous score vector:
@@ -88,10 +68,8 @@ func PageRankIncr(v *graph.View, prev map[int64]float64, damping, tol float64) m
 	if n == 0 {
 		return map[int64]float64{}
 	}
-	outDeg := make([]int32, n)
-	for i := 0; i < n; i++ {
-		outDeg[i] = int32(v.OutDeg(int32(i)))
-	}
+	pw := powerIter{v: v, outDeg: outDegrees(v), damping: damping, discard: true}
+	outDeg := pw.outDeg
 	a := (1 - damping) / float64(n)
 	x := make([]float64, n)
 	par.For(n, func(lo, hi int) {
@@ -104,24 +82,18 @@ func PageRankIncr(v *graph.View, prev map[int64]float64, damping, tol float64) m
 		}
 	})
 
-	// One full residual sweep against the new topology; after this the
-	// work is queue-driven and local.
+	// One full sweep against the new topology gives the residual
+	// rho = sweep(x) − x; after this the work is queue-driven and local.
 	rho := make([]float64, n)
-	sweep := func() float64 {
-		return par.Reduce(n, 0.0, func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				var sum float64
-				for _, src := range v.In(int32(i)) {
-					sum += x[src] / float64(outDeg[src])
-				}
-				rho[i] = a + damping*sum - x[i]
-				s += rho[i]
-			}
-			return s
-		}, func(p, q float64) float64 { return p + q })
-	}
-	rsum := sweep()
+	pw.sweep(x, rho)
+	rsum := par.Reduce(n, 0.0, func(lo, hi int) float64 {
+		var s float64
+		for i := lo; i < hi; i++ {
+			rho[i] -= x[i]
+			s += rho[i]
+		}
+		return s
+	}, func(p, q float64) float64 { return p + q })
 
 	// prev is normalized to sum 1, but the fixpoint of the internal
 	// dangling-discard iteration has a smaller sum — a seed taken verbatim
@@ -201,8 +173,8 @@ func PageRankIncr(v *graph.View, prev map[int64]float64, damping, tol float64) m
 		}
 		return s
 	}, func(p, q float64) float64 { return p + q })
-	if diff > (1-damping)*tol {
-		x = powerIterate(v, outDeg, x, a, damping, tol)
+	if stop := tolStop(damping, tol); diff >= stop {
+		x, _ = pw.run(x, maxTolSweeps, stop)
 	}
 	normalizeSum(x)
 	return scoresToMap(v.IDs(), x)

@@ -110,6 +110,26 @@ func TestPersonalizedPageRank(t *testing.T) {
 	}
 }
 
+// TestPersonalizedPageRankAllSeedsMatchesPageRank pins the teleport path
+// of the shared power-iteration kernel to its uniform default: seeding
+// every node makes the teleport vector uniform, which is PageRank's own
+// model.
+func TestPersonalizedPageRankAllSeedsMatchesPageRank(t *testing.T) {
+	for name, g := range extTestGraphs() {
+		v := graph.BuildView(g)
+		want := PageRankView(v, DefaultDamping, 20)
+		got := PersonalizedPageRankView(v, v.IDs(), DefaultDamping, 20)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d personalized scores, %d PageRank scores", name, len(got), len(want))
+		}
+		for id, w := range want {
+			if !approxEq(got[id], w, 1e-12) {
+				t.Fatalf("%s: node %d personalized %v, PageRank %v", name, id, got[id], w)
+			}
+		}
+	}
+}
+
 func TestHITSBipartite(t *testing.T) {
 	// Hubs {1,2} point at authorities {10,11,12}.
 	g := graph.NewDirected()

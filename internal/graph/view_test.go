@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 )
 
 // randomDirected builds a directed graph with AddEdge (so slot order differs
@@ -128,5 +129,140 @@ func BenchmarkBuildView(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildView(g)
+	}
+}
+
+// The TestCSR* tests below pin the View — the one CSR representation —
+// on a small fixed graph and on arbitrary ones.
+
+func sampleDirected() *Directed {
+	g := NewDirected()
+	g.AddEdge(10, 20)
+	g.AddEdge(10, 30)
+	g.AddEdge(20, 30)
+	g.AddEdge(30, 10)
+	return g
+}
+
+// viewHasEdge reports whether src->dst is an edge of v.
+func viewHasEdge(v *View, src, dst int64) bool {
+	s, ok := v.Index(src)
+	if !ok {
+		return false
+	}
+	d, ok := v.Index(dst)
+	if !ok {
+		return false
+	}
+	_, found := slices.BinarySearch(v.Out(s), d)
+	return found
+}
+
+// validView runs v's arrays through ViewFromArrays' structural checks.
+func validView(v *View) error {
+	ids, outOff, inOff, out, in := v.ViewParts()
+	_, err := ViewFromArrays(ids, outOff, inOff, out, in, nil)
+	return err
+}
+
+func TestCSRBuildViewDims(t *testing.T) {
+	g := sampleDirected()
+	v := BuildView(g)
+	if err := validView(v); err != nil {
+		t.Fatal(err)
+	}
+	if v.NumNodes() != 3 || v.NumEdges() != 4 {
+		t.Fatalf("view dims = (%d,%d)", v.NumNodes(), v.NumEdges())
+	}
+	i, ok := v.Index(10)
+	if !ok {
+		t.Fatal("Index(10) missing")
+	}
+	if v.OutDeg(i) != 2 || v.InDeg(i) != 1 {
+		t.Fatalf("node 10 degrees = (%d,%d)", v.OutDeg(i), v.InDeg(i))
+	}
+	g.ForEdges(func(src, dst int64) {
+		if !viewHasEdge(v, src, dst) {
+			t.Fatalf("view lost edge %d->%d", src, dst)
+		}
+	})
+	if viewHasEdge(v, 20, 10) || viewHasEdge(v, 99, 10) {
+		t.Fatal("view invented an edge")
+	}
+}
+
+func TestCSRNeighborsDense(t *testing.T) {
+	v := BuildView(sampleDirected())
+	i, _ := v.Index(10)
+	for _, d := range v.Out(i) {
+		if id := v.ID(d); id != 20 && id != 30 {
+			t.Fatalf("unexpected neighbor %d", id)
+		}
+	}
+	for _, s := range v.In(i) {
+		if v.ID(s) != 30 {
+			t.Fatalf("unexpected in-neighbor %d", v.ID(s))
+		}
+	}
+}
+
+// TestCSRDelEdge deletes one edge from a CSR snapshot the way the paper's
+// §2.2 ablation does: a one-delta PatchView, which rewrites the arrays.
+func TestCSRDelEdge(t *testing.T) {
+	g := sampleDirected()
+	v := BuildView(g)
+	g.DelEdge(10, 20)
+	p := PatchView(v, g.HasNode, g.HasEdge, []Delta{{Op: DeltaDelEdge, Src: 10, Dst: 20}})
+	if err := validView(p); err != nil {
+		t.Fatal(err)
+	}
+	if p.NumEdges() != 3 || viewHasEdge(p, 10, 20) {
+		t.Fatalf("after delete: %d edges", p.NumEdges())
+	}
+	for _, e := range [][2]int64{{10, 30}, {20, 30}, {30, 10}} {
+		if !viewHasEdge(p, e[0], e[1]) {
+			t.Fatalf("edge %v lost", e)
+		}
+	}
+	if !viewHasEdge(v, 10, 20) {
+		t.Fatal("patching modified the base view")
+	}
+}
+
+func TestCSRBytesSmallerThanDynamicGraph(t *testing.T) {
+	g := NewDirected()
+	for i := int64(0); i < 2000; i++ {
+		g.AddEdge(i, (i*7)%2000)
+		g.AddEdge(i, (i*13)%2000)
+	}
+	if v := BuildView(g); v.Bytes() >= g.Bytes() {
+		t.Fatalf("view (%d bytes) not smaller than dynamic graph (%d bytes)", v.Bytes(), g.Bytes())
+	}
+}
+
+// Property: the view round-trips the edge set of any directed graph.
+func TestCSRRoundTripProperty(t *testing.T) {
+	f := func(edges [][2]int8) bool {
+		g := NewDirected()
+		for _, e := range edges {
+			g.AddEdge(int64(e[0]%16), int64(e[1]%16))
+		}
+		v := BuildView(g)
+		if validView(v) != nil {
+			return false
+		}
+		if v.NumEdges() != g.NumEdges() || v.NumNodes() != g.NumNodes() {
+			return false
+		}
+		ok := true
+		g.ForEdges(func(src, dst int64) {
+			if !viewHasEdge(v, src, dst) {
+				ok = false
+			}
+		})
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
 	}
 }

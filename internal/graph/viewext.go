@@ -30,14 +30,6 @@ func (v *UView) UViewParts() (ids []int64, off []int64, arena []int32) {
 	return v.ids, v.off, v.arena
 }
 
-// OutEdgesIn reports the number of out-edges of dense nodes [lo, hi) — the
-// block-occupancy probe semi-external scheduling uses to skip edge blocks
-// with nothing to stream (two offset reads, no arena access).
-func (v *View) OutEdgesIn(lo, hi int32) int64 { return v.outOff[hi] - v.outOff[lo] }
-
-// InEdgesIn is OutEdgesIn for the in-direction.
-func (v *View) InEdgesIn(lo, hi int32) int64 { return v.inOff[hi] - v.inOff[lo] }
-
 // ViewFromArrays assembles a directed CSR view directly over caller-owned
 // arrays — the zero-decode path for mmap-backed graphs: the arrays may
 // alias a file mapping, in which case retain must pin whatever owns the

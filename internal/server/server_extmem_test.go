@@ -68,10 +68,8 @@ func TestWarmStartMapped(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, name := range []string{"ringo_mapped_bytes", "ringo_extmem_blocks_scanned_total", "ringo_extmem_blocks_skipped_total"} {
-		if !strings.Contains(string(body), name) {
-			t.Fatalf("/metrics is missing %s", name)
-		}
+	if !strings.Contains(string(body), "ringo_mapped_bytes") {
+		t.Fatal("/metrics is missing ringo_mapped_bytes")
 	}
 
 	// A corrupt image must fail and leave no half-started session.

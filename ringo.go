@@ -134,8 +134,6 @@ type (
 	UGraph = graph.Undirected
 	// Network is a directed multigraph with typed node/edge attributes.
 	Network = graph.Network
-	// CSR is the static Compressed Sparse Row baseline representation.
-	CSR = graph.CSR
 	// View is the flat CSR snapshot of a directed graph that algorithms
 	// run over; build one with BuildView or fetch a cached one with
 	// Workspace.DirectedView.
@@ -292,9 +290,6 @@ func ToNodeTable(g *Graph, name string) (*Table, error) {
 
 // AsUndirected returns the undirected view of a directed graph.
 func AsUndirected(g *Graph) *UGraph { return graph.AsUndirected(g) }
-
-// BuildCSR snapshots a directed graph into the static CSR representation.
-func BuildCSR(g *Graph) *CSR { return graph.FromDirected(g) }
 
 // BuildView snapshots a directed graph into the flat CSR view the
 // algorithm library runs over (built in parallel). Prefer
@@ -468,28 +463,6 @@ func SaveMappedUndirected(path string, u *UView) error {
 // platform supports it (linux, darwin), falling back to an in-memory copy
 // elsewhere — MappedGraph.Mapped() reports which tier you got.
 func OpenMapped(path string) (*MappedGraph, error) { return extmem.Open(path) }
-
-// PageRankExt is the semi-external PageRank: vertex state on the heap,
-// edges streamed from the (typically mapped) view in blocks. Produces
-// bit-identical scores to PageRankView.
-func PageRankExt(v *View, damping float64, iters int) map[int64]float64 {
-	return algo.PageRankExt(v, damping, iters)
-}
-
-// GetWCCExt computes weakly connected components semi-externally,
-// skipping vertex blocks with no edges (identical results to GetWCCView).
-func GetWCCExt(v *View) Components { return algo.WCCExt(v) }
-
-// GetBFSExt is the semi-external BFS: level-synchronous with whole vertex
-// blocks skipped while no frontier vertex lives in them (identical results
-// to GetBFSView).
-func GetBFSExt(v *View, src int64, dir EdgeDir) map[int64]int {
-	return algo.BFSExt(v, src, dir)
-}
-
-// ExtBlockStats reports the semi-external scheduler's process-wide totals:
-// vertex blocks scanned vs skipped by the *Ext algorithms.
-func ExtBlockStats() (scanned, skipped int64) { return algo.ExtBlockStats() }
 
 // ProjectUView materializes the undirected projection of a directed CSR
 // view (the merged union of in- and out-neighbors per node) — how

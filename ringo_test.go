@@ -261,9 +261,8 @@ func TestFacadeAlgorithmSurface(t *testing.T) {
 	if top := ringo.TopK(ringo.GetPageRank(g), 5); len(top) != 5 {
 		t.Fatal("TopK size")
 	}
-	csr := ringo.BuildCSR(g)
-	if csr.NumEdges() != g.NumEdges() {
-		t.Fatal("CSR edge count")
+	if v := ringo.BuildView(g); v.NumEdges() != g.NumEdges() {
+		t.Fatal("view edge count")
 	}
 }
 
