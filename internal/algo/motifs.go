@@ -122,3 +122,55 @@ func searchInt32(a []int32, v int32) (int, bool) {
 	}
 	return lo, lo < len(a) && a[lo] == v
 }
+
+// countCommonAbove counts values present in both sorted slices that are
+// strictly greater than floor.
+func countCommonAbove(a, b []int32, floor int32) int64 {
+	i := upperBound(a, floor)
+	j := upperBound(b, floor)
+	var count int64
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			count++
+			i++
+			j++
+		}
+	}
+	return count
+}
+
+func forEachCommonAbove(a, b []int32, floor int32, fn func(w int32)) {
+	i := upperBound(a, floor)
+	j := upperBound(b, floor)
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			fn(a[i])
+			i++
+			j++
+		}
+	}
+}
+
+// upperBound returns the index of the first element > v in sorted a.
+func upperBound(a []int32, v int32) int {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if a[mid] <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ringo/internal/graph"
@@ -170,5 +171,25 @@ func TestTopK(t *testing.T) {
 	}
 	if got := TopK(scores, 100); len(got) != 4 {
 		t.Fatalf("TopK overshoot = %d", len(got))
+	}
+}
+
+// TestTopKBounds checks every k regime: negative and zero k return an
+// empty result (negative k used to panic on the slice bound), k up to the
+// map size returns that prefix of the full ranking, and k past it returns
+// everything.
+func TestTopKBounds(t *testing.T) {
+	scores := map[int64]float64{1: 0.5, 2: 0.9, 3: 0.9, 4: 0.1, 5: 0.3}
+	full := []Scored{{2, 0.9}, {3, 0.9}, {1, 0.5}, {5, 0.3}, {4, 0.1}}
+	for _, c := range []struct{ k, want int }{
+		{-1, 0}, {0, 0}, {1, 1}, {len(scores), len(scores)}, {len(scores) + 5, len(scores)},
+	} {
+		got := TopK(scores, c.k)
+		if got == nil || !slices.Equal(got, full[:c.want]) {
+			t.Fatalf("TopK(k=%d) = %v, want %v", c.k, got, full[:c.want])
+		}
+	}
+	if got := TopK(nil, -1); got == nil || len(got) != 0 {
+		t.Fatalf("TopK(nil, -1) = %v", got)
 	}
 }

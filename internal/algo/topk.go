@@ -10,8 +10,11 @@ type Scored struct {
 
 // TopK returns the k highest-scored nodes in descending score order, ties
 // broken by ascending id so results are deterministic. k larger than the
-// map returns everything.
+// map returns everything; k <= 0 returns an empty result.
 func TopK(scores map[int64]float64, k int) []Scored {
+	if k <= 0 {
+		return []Scored{}
+	}
 	all := make([]Scored, 0, len(scores))
 	for id, s := range scores {
 		all = append(all, Scored{id, s})

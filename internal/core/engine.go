@@ -321,19 +321,28 @@ func (w *Workspace) DirectedView(name string) (*graph.View, error) {
 	if !ok {
 		return nil, fmt.Errorf("no object named %q", name)
 	}
-	if o.Mapped != nil {
-		// A mapped graph IS its view: no conversion to cache, no heap
-		// bytes for the cache to account. Serve it straight from the
-		// mapping.
-		if mv := o.Mapped.View(); mv != nil {
-			return mv, nil
-		}
+	if o.Mapped != nil && o.Mapped.View() == nil {
 		return nil, fmt.Errorf("%q is an undirected mapped graph, not a directed one", name)
 	}
-	if o.Graph == nil {
+	if o.Graph == nil && o.Mapped == nil {
 		return nil, fmt.Errorf("%q is a %s, not a directed graph", name, o.Kind())
 	}
-	v := views.Directed(name, ver, func() *graph.View {
+	v := w.directedView(name, o, ver, views, plan)
+	w.dropIfStale(views, name, ver)
+	return v, nil
+}
+
+// directedView serves the directed view of a directed-graph binding whose
+// state (o at version ver, with its patch plan) was read under the
+// workspace lock. A mapped graph IS its view: no conversion to cache, no
+// heap bytes for the cache to account, so it is served straight from the
+// mapping. A heap graph's view comes from the cache, patched from a
+// resident base when the delta log allows, or built.
+func (w *Workspace) directedView(name string, o Object, ver uint64, views *ViewCache, plan patchPlan) *graph.View {
+	if o.Mapped != nil {
+		return o.Mapped.View()
+	}
+	return views.Directed(name, ver, func() *graph.View {
 		if base, pending := plan.baseDirected(views, name); base != nil {
 			w.patches.Add(1)
 			return graph.PatchView(base, o.Graph.HasNode, o.Graph.HasEdge, pending)
@@ -341,15 +350,16 @@ func (w *Workspace) DirectedView(name string) (*graph.View, error) {
 		w.rebuilds.Add(1)
 		return graph.BuildView(o.Graph)
 	})
-	w.dropIfStale(views, name, ver)
-	return v, nil
 }
 
 // UndirectedView returns the undirected CSR view of the graph bound to
 // name — for a directed graph, the view of its undirected projection
 // (edge directions dropped, duplicates merged), which is what triangle
 // counting, bridges, k-core and the other orientation-blind algorithms
-// consume. Cached like DirectedView.
+// consume. Cached like DirectedView. A directed graph's projection, heap
+// or mapped, is built by graph.ProjectUView from its directed view
+// (resident, patched or built on the way), so the cached undirected entry
+// may wait on the directed one, never the reverse.
 func (w *Workspace) UndirectedView(name string) (*graph.UView, error) {
 	w.mu.RLock()
 	o, ok := w.objs[name]
@@ -371,27 +381,29 @@ func (w *Workspace) UndirectedView(name string) (*graph.UView, error) {
 			w.rebuilds.Add(1)
 			return graph.BuildUView(o.UGraph)
 		})
-	case o.Graph != nil:
-		v = views.Undirected(name, ver, func() *graph.UView {
-			if base, pending := plan.baseUndirected(views, name); base != nil {
-				w.patches.Add(1)
-				g := o.Graph
-				// An undirected edge of the projection exists when either
-				// orientation does.
-				sym := func(a, b int64) bool { return g.HasEdge(a, b) || g.HasEdge(b, a) }
-				return graph.PatchUView(base, g.HasNode, sym, pending)
-			}
-			w.rebuilds.Add(1)
-			return graph.BuildUView(graph.AsUndirected(o.Graph))
-		})
 	case o.Mapped != nil && o.Mapped.UView() != nil:
 		// An undirected mapped image is served in place, like DirectedView.
 		return o.Mapped.UView(), nil
-	case o.Mapped != nil:
-		// The undirected projection of a mapped directed graph is a heap
-		// materialization, so it earns a cache slot like any conversion;
-		// the builder streams the mapped arenas once.
-		v = views.Undirected(name, ver, func() *graph.UView { return graph.ProjectUView(o.Mapped.View()) })
+	case o.Graph != nil || o.Mapped != nil:
+		v = views.Undirected(name, ver, func() *graph.UView {
+			if g := o.Graph; g != nil {
+				if base, pending := plan.baseUndirected(views, name); base != nil {
+					w.patches.Add(1)
+					// An undirected edge of the projection exists when
+					// either orientation does.
+					sym := func(a, b int64) bool { return g.HasEdge(a, b) || g.HasEdge(b, a) }
+					return graph.PatchUView(base, g.HasNode, sym, pending)
+				}
+				w.rebuilds.Add(1)
+			}
+			// A resident directed view serves as the projection's source
+			// the way a patch base does, without counting a cache hit.
+			dv := views.PeekDirected(name, ver)
+			if dv == nil {
+				dv = w.directedView(name, o, ver, views, plan)
+			}
+			return graph.ProjectUView(dv)
+		})
 	default:
 		return nil, fmt.Errorf("%q is a %s, not a graph", name, o.Kind())
 	}

@@ -346,9 +346,18 @@ func Views(specs []Spec) (Report, error) {
 			prCold.Round(time.Millisecond).String(), prWarm.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.1fx", prCold.Seconds()/prWarm.Seconds())})
 
-		triCold := Timed(func() { algo.Triangles(graph.AsUndirected(g)) })
+		// Cold triangles is what a server session pays for its first count
+		// on a graph: a fresh workspace builds the directed view, projects
+		// the undirected one from it, and counts.
+		fresh := NewWorkspace()
+		fresh.Set("g", Object{Graph: g})
 		var uv *graph.UView
-		if uv, err = ws.UndirectedView("g"); err != nil {
+		triCold := Timed(func() {
+			if uv, err = fresh.UndirectedView("g"); err == nil {
+				algo.TrianglesView(uv)
+			}
+		})
+		if err != nil {
 			return Report{}, err
 		}
 		triWarm := Timed(func() { algo.TrianglesView(uv) })
@@ -357,7 +366,7 @@ func Views(specs []Spec) (Report, error) {
 			fmt.Sprintf("%.1fx", triCold.Seconds()/triWarm.Seconds())})
 	}
 	r.Notes = append(r.Notes,
-		"cold = build the CSR view (and, for triangles, the undirected projection) then compute; warm = cached view, flat-array compute only",
+		"cold = build the CSR view then compute (triangles: a fresh workspace builds the directed view and projects the undirected one from it); warm = cached view, flat-array compute only",
 		"shape check: warm fetch is microseconds regardless of graph size; warm analytics approach pure compute time")
 	return r, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"ringo/internal/algo"
@@ -137,6 +139,13 @@ func TestUndirectedViewOfDirectedGraph(t *testing.T) {
 		t.Fatalf("uview %d/%d, projection %d/%d",
 			uv.NumNodes(), uv.NumEdges(), u.NumNodes(), u.NumEdges())
 	}
+	// The workspace projects from the directed view; the result must be
+	// arena-for-arena the view of the hashed AsUndirected projection.
+	ids, off, arena := uv.UViewParts()
+	wantIDs, wantOff, wantArena := graph.BuildUView(u).UViewParts()
+	if !slices.Equal(ids, wantIDs) || !slices.Equal(off, wantOff) || !slices.Equal(arena, wantArena) {
+		t.Fatal("workspace undirected view differs from BuildUView(AsUndirected(g))")
+	}
 	uv2, err := ws.UndirectedView("g")
 	if err != nil {
 		t.Fatal(err)
@@ -144,11 +153,18 @@ func TestUndirectedViewOfDirectedGraph(t *testing.T) {
 	if uv2 != uv {
 		t.Fatal("undirected view rebuilt on unchanged graph")
 	}
-	// The directed and undirected views of one binding cache independently.
+	// Building the undirected view went through the directed one, so the
+	// directed fetch is a cache hit: the undirected entry waited on the
+	// directed entry, never the reverse. Both stay cached independently.
+	hits, misses, _, _ := ws.ViewCacheStats()
 	if _, err := ws.DirectedView("g"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, entries, _ := ws.ViewCacheStats(); entries != 2 {
+	h, m, entries, _ := ws.ViewCacheStats()
+	if h != hits+1 || m != misses {
+		t.Fatalf("directed view after undirected: hits %d->%d, misses %d->%d; want one hit", hits, h, misses, m)
+	}
+	if entries != 2 {
 		t.Fatalf("want 2 entries (dir + undir), got %d", entries)
 	}
 
@@ -160,6 +176,48 @@ func TestUndirectedViewOfDirectedGraph(t *testing.T) {
 	}
 	if uv3.NumEdges() != u.NumEdges() {
 		t.Fatal("uview of undirected binding wrong")
+	}
+}
+
+// TestUndirectedViewConcurrentWithDirected races first fetches of both
+// orientations of a fresh binding, half the goroutines asking for the
+// undirected view first. The undirected build waits on the directed
+// entry it projects from, so there is no lock cycle; every goroutine must
+// get the one cached view of each orientation, built once.
+func TestUndirectedViewConcurrentWithDirected(t *testing.T) {
+	ws := NewWorkspace()
+	ws.Set("g", Object{Graph: testGraph(400, 3000, 9)})
+	const readers = 8
+	dirs := make([]*graph.View, readers)
+	undirs := make([]*graph.UView, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var err error
+			if r%2 == 0 {
+				if undirs[r], err = ws.UndirectedView("g"); err == nil {
+					dirs[r], err = ws.DirectedView("g")
+				}
+			} else {
+				if dirs[r], err = ws.DirectedView("g"); err == nil {
+					undirs[r], err = ws.UndirectedView("g")
+				}
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}(r)
+	}
+	wg.Wait()
+	for r := 1; r < readers; r++ {
+		if dirs[r] != dirs[0] || undirs[r] != undirs[0] {
+			t.Fatalf("reader %d got a different view than reader 0", r)
+		}
+	}
+	if _, misses, entries, _ := ws.ViewCacheStats(); misses != 2 || entries != 2 {
+		t.Fatalf("%d misses, %d entries; want each orientation built once", misses, entries)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // View/UView directly over caller-owned arrays without copying or hashing,
 // accessors that expose a view's backing arrays for zero-copy
 // serialization, and the undirected projection that lets orientation-blind
-// algorithms run over a mapped directed graph that has no in-heap Directed
-// behind it.
+// algorithms run over any directed view, including a mapped one that has
+// no in-heap Directed behind it.
 
 // ViewParts returns the view's backing arrays: the ascending id vector,
 // both offset vectors, and the out/in neighbor arrays. The slices are the
@@ -142,15 +142,17 @@ func checkNeighbors(name string, off []int64, arena []int32, n int) error {
 
 // ProjectUView builds the undirected projection of a directed view: each
 // node's neighbor vector is the merged, deduplicated union of its out- and
-// in-vectors (both already sorted). This is how orientation-blind
-// algorithms (triangles, bridges, k-core) run over a mapped directed graph,
-// which has no in-heap Directed to project through AsUndirected: the
-// projection reads the mapped arenas once and materializes a heap UView
-// that caches like any other.
+// in-vectors (both already sorted), so a self-loop appears once. The result
+// is structurally identical to BuildUView(AsUndirected(g)) for the graph g
+// the view snapshots. This is how orientation-blind algorithms (triangles,
+// bridges, k-core) run over every directed graph, heap or mapped: two
+// linear passes over the flat arenas replace rebuilding a hashed
+// Undirected, and the heap UView that comes out caches like any other.
 func ProjectUView(v *View) *UView {
 	n := v.NumNodes()
 	u := &UView{
 		ids: v.ids,
+		idx: v.idx,
 		off: make([]int64, n+1),
 	}
 	// Pass 1: merged degree per node (count only, no writes).
@@ -165,8 +167,9 @@ func ProjectUView(v *View) *UView {
 	par.ForEach(n, func(i int) {
 		mergeInto(u.arena[u.off[i]:u.off[i+1]], v.Out(int32(i)), v.In(int32(i)))
 	})
-	// The projection shares the source view's ids (possibly mapped), so it
-	// must pin whatever the source pins and answer Index by binary search.
+	// The projection shares the source view's ids (possibly mapped) and
+	// id map (nil for a mapped view, whose Index binary-searches ids), so
+	// it must pin whatever the source pins.
 	u.retain = v.retain
 	return u
 }

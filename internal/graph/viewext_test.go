@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -58,40 +59,59 @@ func TestViewFromArraysRejectsBadShapes(t *testing.T) {
 	}
 }
 
-func TestProjectUView(t *testing.T) {
-	g := randomDirected(t, 150, 900, 3)
-	// A few isolated nodes and deletions so the projection sees empty
-	// vectors and renumbered dense indices.
-	for i := int64(150); i < 160; i++ {
-		g.AddNode(i)
+// projectTestGraph is a random directed graph with every shape the
+// projection must fold: self-loops, reciprocal pairs (one undirected edge
+// from two arcs), isolated nodes and deleted nodes (tombstoned slots and
+// renumbered dense indices).
+func projectTestGraph(rng *rand.Rand) *Directed {
+	n := 1 + rng.Intn(80)
+	g := NewDirected()
+	for i, m := 0, rng.Intn(4*n); i < m; i++ {
+		a, b := int64(rng.Intn(n)), int64(rng.Intn(n))
+		g.AddEdge(a, b)
+		switch rng.Intn(8) {
+		case 0:
+			g.AddEdge(b, a)
+		case 1:
+			g.AddEdge(a, a)
+		}
 	}
-	for i := int64(0); i < 30; i += 3 {
-		g.DelNode(i)
+	for k := rng.Intn(5); k > 0; k-- {
+		g.AddNode(int64(n + k))
 	}
-	v := BuildView(g)
-	u := ProjectUView(v)
+	for k := rng.Intn(n/4 + 1); k > 0; k-- {
+		g.DelNode(int64(rng.Intn(n)))
+	}
+	return g
+}
 
-	if !slices.Equal(v.IDs(), u.IDs()) {
-		t.Fatalf("projection changed the id space")
-	}
-	for i := 0; i < v.NumNodes(); i++ {
-		want := map[int32]bool{}
-		for _, w := range v.Out(int32(i)) {
-			want[w] = true
+// TestProjectUView is the projection's oracle property: over random
+// directed graphs, ProjectUView(BuildView(g)) equals
+// BuildUView(AsUndirected(g)) in ids, offsets and arena, and every
+// projected vector is the union of the node's out- and in-vectors.
+func TestProjectUView(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		g := NewDirected()
+		if trial > 0 {
+			g = projectTestGraph(rng)
 		}
-		for _, w := range v.In(int32(i)) {
-			want[w] = true
+		v := BuildView(g)
+		u := ProjectUView(v)
+		ids, off, arena := u.UViewParts()
+		wantIDs, wantOff, wantArena := BuildUView(AsUndirected(g)).UViewParts()
+		if !slices.Equal(ids, wantIDs) || !slices.Equal(off, wantOff) || !slices.Equal(arena, wantArena) {
+			t.Fatalf("trial %d: projection differs from BuildUView(AsUndirected(g)):\nids %v\nwant %v\noff %v\nwant %v\narena %v\nwant %v",
+				trial, ids, wantIDs, off, wantOff, arena, wantArena)
 		}
-		adj := u.Adj(int32(i))
-		if len(adj) != len(want) {
-			t.Fatalf("dense %d: projected degree %d, want %d", i, len(adj), len(want))
-		}
-		if !slices.IsSorted(adj) {
-			t.Fatalf("dense %d: projected adjacency not sorted", i)
-		}
-		for _, w := range adj {
-			if !want[w] {
-				t.Fatalf("dense %d: projected neighbor %d not in out/in union", i, w)
+		for i := int32(0); int(i) < v.NumNodes(); i++ {
+			union := slices.Concat(v.Out(i), v.In(i))
+			slices.Sort(union)
+			if !slices.Equal(u.Adj(i), slices.Compact(union)) {
+				t.Fatalf("trial %d: dense %d: projected %v, want out/in union %v", trial, i, u.Adj(i), union)
+			}
+			if j, ok := u.Index(u.ID(i)); !ok || j != i {
+				t.Fatalf("trial %d: Index(%d) = %d,%v; want %d", trial, u.ID(i), j, ok, i)
 			}
 		}
 	}

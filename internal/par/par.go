@@ -1,5 +1,5 @@
 // Package par provides the parallelism substrate used throughout the Ringo
-// reproduction: static range-partitioned parallel loops, parallel reduction,
+// reproduction: range-partitioned parallel loops, parallel reduction,
 // and parallel sorting. It plays the role OpenMP plays in the original C++
 // implementation (Perez et al., SIGMOD 2015, §2.5): a handful of primitives
 // that parallelize the critical loops of table and graph processing — the
@@ -7,22 +7,24 @@
 // view builders (graph.BuildView/BuildUView) and the parallel algorithm
 // variants all run on these loops.
 //
-// The primitives mirror OpenMP's static schedule deliberately: work splits
-// into at most Workers() contiguous ranges up front, workers touch
-// disjoint index ranges (no locks, no work stealing), and every call
-// blocks until the loop completes. Callers own all cross-range
-// synchronization — typically by writing to disjoint slices sized in
-// advance.
+// Most primitives mirror OpenMP's static schedule: work splits into at
+// most Workers() contiguous ranges up front, workers touch disjoint index
+// ranges (no locks, no work stealing), and every call blocks until the
+// loop completes. ForBlocks is the one dynamic schedule, for loops whose
+// per-index cost is too skewed for an up-front split. Callers own all
+// cross-range synchronization — typically by writing to disjoint slices
+// sized in advance.
 package par
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers reports the degree of parallelism used by this package, which is
-// runtime.GOMAXPROCS(0). All loop primitives split work into at most this
-// many contiguous ranges, mirroring OpenMP's static schedule.
+// runtime.GOMAXPROCS(0). No loop primitive runs more than this many
+// workers at once.
 func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
@@ -75,6 +77,47 @@ func For(n int, fn func(lo, hi int)) {
 			defer wg.Done()
 			fn(r.Lo, r.Hi)
 		}(r)
+	}
+	wg.Wait()
+}
+
+// ForBlocks runs fn over [0, n) cut into fixed-size blocks of block
+// indices (the last one may be shorter), with workers claiming the next
+// unclaimed block from a shared counter until none remain — OpenMP's
+// schedule(dynamic, block), the dynamic counterpart of For's static
+// split. It suits loops whose per-index cost is skewed, such as the
+// degree-heavy nodes of a power-law graph bunched into one id range. fn
+// must be safe to call concurrently on disjoint ranges; ForBlocks blocks
+// until every block completes. block < 1 is treated as 1. With a single
+// worker, fn runs once over all of [0, n).
+func ForBlocks(n, block int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if block < 1 {
+		block = 1
+	}
+	blocks := (n + block - 1) / block
+	workers := min(Workers(), blocks)
+	if workers == 1 {
+		fn(0, n)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				b := int(next.Add(1) - 1)
+				if b >= blocks {
+					return
+				}
+				lo := b * block
+				fn(lo, min(lo+block, n))
+			}
+		}()
 	}
 	wg.Wait()
 }

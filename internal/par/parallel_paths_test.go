@@ -105,3 +105,39 @@ func TestDoSingleFunction(t *testing.T) {
 		t.Fatal("Do(single) did not run")
 	}
 }
+
+// TestForBlocksVisitsEachIndexOnce runs the dynamic schedule with four
+// workers over block sizes that do and do not divide n: every index is
+// visited exactly once and every range is one whole block (the last may
+// be short).
+func TestForBlocksVisitsEachIndexOnce(t *testing.T) {
+	withWorkers(t, 4, func() {
+		if Workers() != 4 {
+			t.Skip("GOMAXPROCS not adjustable")
+		}
+		for _, c := range []struct{ n, block int }{
+			{10_000, 512}, {10_000, 7}, {513, 512}, {5, 1}, {3, 0}, {1, 64}, {0, 8},
+		} {
+			counts := make([]int32, c.n)
+			var calls atomic.Int64
+			ForBlocks(c.n, c.block, func(lo, hi int) {
+				calls.Add(1)
+				block := max(c.block, 1)
+				if lo%block != 0 || hi <= lo || (hi-lo != block && hi != c.n) {
+					t.Errorf("n=%d block=%d: range [%d,%d) is not one block", c.n, c.block, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&counts[i], 1)
+				}
+			})
+			for i, k := range counts {
+				if k != 1 {
+					t.Fatalf("n=%d block=%d: index %d visited %d times", c.n, c.block, i, k)
+				}
+			}
+			if want := (c.n + max(c.block, 1) - 1) / max(c.block, 1); int(calls.Load()) != want {
+				t.Fatalf("n=%d block=%d: %d blocks run, want %d", c.n, c.block, calls.Load(), want)
+			}
+		}
+	})
+}

@@ -708,10 +708,10 @@ func (e *Engine) cmdAlgo(r *Result, args []string) error {
 		}
 	}
 	// Every branch computes over the workspace's cached CSR views:
-	// direction-blind algorithms fetch the undirected view (which also
-	// subsumes the old AsUndirected projection cost), the rest the
-	// directed one. Repeat analytics on an unchanged graph do no O(V+E)
-	// conversion at all.
+	// direction-blind algorithms fetch the undirected view (for a directed
+	// graph, projected from its directed view in two linear passes), the
+	// rest the directed one. Repeat analytics on an unchanged graph do no
+	// O(V+E) conversion at all.
 	start := time.Now()
 	switch args[1] {
 	case "triangles":

@@ -261,6 +261,9 @@ func TestFacadeAlgorithmSurface(t *testing.T) {
 	if top := ringo.TopK(ringo.GetPageRank(g), 5); len(top) != 5 {
 		t.Fatal("TopK size")
 	}
+	if top := ringo.TopK(ringo.GetPageRank(g), -1); len(top) != 0 {
+		t.Fatal("TopK with negative k is not empty")
+	}
 	if v := ringo.BuildView(g); v.NumEdges() != g.NumEdges() {
 		t.Fatal("view edge count")
 	}
